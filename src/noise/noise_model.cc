@@ -90,10 +90,10 @@ NoiseModel::scaled(double factor) const
     return out;
 }
 
-std::vector<NoiseModel::AppliedChannel>
-NoiseModel::channelsFor(const Operation &op) const
+std::vector<NoiseModel::DepolarizingSite>
+NoiseModel::depolarizingFor(const Operation &op) const
 {
-    std::vector<AppliedChannel> out;
+    std::vector<DepolarizingSite> out;
     if (!opIsUnitary(op.kind) || op.kind == OpKind::Barrier)
         return out;
 
@@ -109,18 +109,27 @@ NoiseModel::channelsFor(const Operation &op) const
     if (p <= 0.0)
         return out;
 
-    if (op.qubits.size() == 1) {
-        out.push_back({channels::depolarizing1(p), op.qubits});
-    } else if (op.qubits.size() == 2) {
-        out.push_back({channels::depolarizing2(p), op.qubits});
+    if (op.qubits.size() == 1 || op.qubits.size() == 2) {
+        out.push_back({p, op.qubits});
     } else {
         // Three-qubit gates: apply pairwise two-qubit depolarising
         // noise across the operands (CCX is decomposed on hardware
         // anyway; this is the aggregate model).
-        for (std::size_t i = 0; i + 1 < op.qubits.size(); ++i) {
-            out.push_back({channels::depolarizing2(p),
-                           {op.qubits[i], op.qubits[i + 1]}});
-        }
+        for (std::size_t i = 0; i + 1 < op.qubits.size(); ++i)
+            out.push_back({p, {op.qubits[i], op.qubits[i + 1]}});
+    }
+    return out;
+}
+
+std::vector<NoiseModel::AppliedChannel>
+NoiseModel::channelsFor(const Operation &op) const
+{
+    std::vector<AppliedChannel> out;
+    for (DepolarizingSite &site : depolarizingFor(op)) {
+        KrausChannel channel = site.qubits.size() == 1
+                                   ? channels::depolarizing1(site.p)
+                                   : channels::depolarizing2(site.p);
+        out.push_back({std::move(channel), std::move(site.qubits)});
     }
     return out;
 }

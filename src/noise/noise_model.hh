@@ -39,6 +39,13 @@ class NoiseModel
         std::vector<Qubit> qubits;
     };
 
+    /** A depolarising error of total strength p on some qubits. */
+    struct DepolarizingSite
+    {
+        double p;
+        std::vector<Qubit> qubits;
+    };
+
     NoiseModel() = default;
 
     /** True when any error source is configured. */
@@ -80,6 +87,16 @@ class NoiseModel
 
     /** Channels to apply after executing @p op (may be empty). */
     std::vector<AppliedChannel> channelsFor(const Operation &op) const;
+
+    /**
+     * The same errors as channelsFor(@p op), as depolarising strengths
+     * and operands (channels::depolarizing1 / 2 of each site): one site
+     * over a 1q/2q gate's operands, pairwise 2q sites across a
+     * three-qubit gate's. The density backend applies these in closed
+     * form instead of building Kraus channels.
+     */
+    std::vector<DepolarizingSite>
+    depolarizingFor(const Operation &op) const;
 
     /**
      * Thermal-relaxation channel for qubit @p q idling or executing

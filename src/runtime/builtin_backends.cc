@@ -48,8 +48,9 @@ class BuiltinBackend : public Backend
 // State-vector memory is the ceiling: 2^26 amplitudes = 1 GiB of
 // complex<double>, a sensible single-job cap for a shared host.
 constexpr std::size_t kStatevectorMaxQubits = 26;
-// The density matrix squares that cost: 2^13 x 2^13 doubles = 1 GiB.
-constexpr std::size_t kDensityMaxQubits = 13;
+// The density matrix squares that cost; DensityMatrix itself stops at
+// 12 qubits (2^12 x 2^12 complex doubles = 256 MiB).
+constexpr std::size_t kDensityMaxQubits = 12;
 // The tableau is O(n^2) bits; 4096 is the circuit IR's own limit.
 constexpr std::size_t kStabilizerMaxQubits = 4096;
 

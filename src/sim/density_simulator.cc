@@ -1,5 +1,6 @@
 #include "sim/density_simulator.hh"
 
+#include <map>
 #include <set>
 
 #include "circuit/schedule.hh"
@@ -56,9 +57,20 @@ DensityMatrixSimulator::execute(const Circuit &circuit)
         }
 
         if (noisy) {
-            for (const auto &applied : noise_->channelsFor(op))
-                exec.state.applyKraus(applied.channel, applied.qubits);
+            for (const auto &site : noise_->depolarizingFor(op))
+                exec.state.depolarize(site.p, site.qubits);
         }
+    };
+
+    // Relaxation superoperators, built once per (qubit, moment
+    // duration) of this run; an empty matrix means no T1/T2 is set.
+    std::map<std::pair<Qubit, double>, Matrix> relaxation;
+    auto relaxation_for = [&](Qubit q, double ns) -> const Matrix & {
+        auto [it, fresh] = relaxation.try_emplace({q, ns});
+        if (fresh)
+            if (auto channel = noise_->relaxationFor(q, ns))
+                it->second = DensityMatrix::superoperator(*channel);
+        return it->second;
     };
 
     for (const TimedMoment &moment : moments) {
@@ -71,9 +83,10 @@ DensityMatrixSimulator::execute(const Circuit &circuit)
                 // preserves the recorded outcome statistics.
                 if (measured.count(q))
                     continue;
-                if (auto relax =
-                        noise_->relaxationFor(q, moment.durationNs))
-                    exec.state.applyKraus(*relax, {q});
+                const Matrix &relax =
+                    relaxation_for(q, moment.durationNs);
+                if (relax.rows() != 0)
+                    exec.state.applySuperoperator(relax, {q});
             }
         }
     }
@@ -145,8 +158,14 @@ DensityMatrixSimulator::run(const Circuit &circuit, std::size_t shots)
         keys.push_back(reg);
         probs.push_back(p);
     }
+    // Tally per outcome, then record each once: the same draws as a
+    // per-shot record loop, so the counts are identical.
+    std::vector<std::size_t> tally(keys.size(), 0);
     for (std::size_t s = 0; s < shots; ++s)
-        result.record(keys[sampleDiscrete(probs, rng_)]);
+        ++tally[sampleDiscrete(probs, rng_)];
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        if (tally[i] != 0)
+            result.record(keys[i], tally[i]);
     return result;
 }
 

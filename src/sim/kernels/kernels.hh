@@ -135,9 +135,11 @@ void applyGenericK(Complex *amps, std::uint64_t n, const Matrix &u,
 
 /**
  * Dispatching dense-matrix application (drop-in for the old
- * kernel::applyMatrix): picks the 1q/2q/k-qubit kernel by operand
- * count. Used by the density-matrix backend on its rows/columns and
- * by trajectory Kraus sampling on raw amplitude copies.
+ * kernel::applyMatrix): picks the diagonal/general 1q, general 2q or
+ * generic k-qubit kernel by operand count. Used by
+ * StateVector::applyMatrix (trajectory Kraus branches included) and
+ * by the density-matrix backend, which runs gates and channel
+ * superoperators on vec(rho) as a 2n-qubit array (density_matrix.hh).
  */
 void applyMatrix(std::vector<Complex> &amps, const Matrix &u,
                  const std::vector<Qubit> &qubits);

@@ -59,8 +59,13 @@ StateVector::applyMatrix(const Matrix &u, const std::vector<Qubit> &qubits)
     if (u.rows() != block || u.cols() != block)
         throw SimulationError("gate matrix size does not match qubit "
                               "operand count");
-    for (Qubit q : qubits)
-        checkQubit(q);
+    for (std::size_t i = 0; i < k; ++i) {
+        checkQubit(qubits[i]);
+        for (std::size_t j = 0; j < i; ++j)
+            if (qubits[j] == qubits[i])
+                throw SimulationError("duplicate qubit operand q" +
+                                      std::to_string(qubits[i]));
+    }
 
     kernels::applyMatrix(amps_, u, qubits);
 }

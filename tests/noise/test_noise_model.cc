@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "noise/channels.hh"
 #include "noise/noise_model.hh"
 
 namespace qra {
@@ -152,6 +153,43 @@ TEST(NoiseModelTest, CcxGetsPairwiseChannels)
     Operation ccx{.kind = OpKind::CCX, .qubits = {0, 1, 2}};
     const auto chans = noise.channelsFor(ccx);
     EXPECT_EQ(chans.size(), 2u);
+}
+
+TEST(NoiseModelTest, DepolarizingSitesMirrorChannels)
+{
+    NoiseModel noise;
+    noise.setGateError(OpKind::H, 0.01);
+    noise.setGateError(OpKind::CX, 0.05);
+    noise.setGateError(OpKind::CX, {1, 0}, 0.02);
+    noise.setGateError(OpKind::CCX, 0.07);
+    const std::vector<Operation> ops{
+        {.kind = OpKind::H, .qubits = {2}},
+        {.kind = OpKind::CX, .qubits = {0, 1}},
+        {.kind = OpKind::CX, .qubits = {1, 0}},
+        {.kind = OpKind::CCX, .qubits = {2, 0, 1}},
+        {.kind = OpKind::T, .qubits = {0}},
+    };
+    for (const Operation &op : ops) {
+        const auto sites = noise.depolarizingFor(op);
+        const auto chans = noise.channelsFor(op);
+        ASSERT_EQ(sites.size(), chans.size()) << opName(op.kind);
+        for (std::size_t i = 0; i < sites.size(); ++i) {
+            EXPECT_EQ(sites[i].qubits, chans[i].qubits);
+            const KrausChannel want =
+                sites[i].qubits.size() == 1
+                    ? channels::depolarizing1(sites[i].p)
+                    : channels::depolarizing2(sites[i].p);
+            ASSERT_EQ(want.operators().size(),
+                      chans[i].channel.operators().size());
+            for (std::size_t k = 0; k < want.operators().size(); ++k)
+                EXPECT_EQ(want.operators()[k].maxAbsDiff(
+                              chans[i].channel.operators()[k]),
+                          0.0);
+        }
+    }
+    EXPECT_DOUBLE_EQ(noise.depolarizingFor(ops[2])[0].p, 0.02);
+    EXPECT_EQ(noise.depolarizingFor(ops[3])[1].qubits,
+              (std::vector<Qubit>{0, 1}));
 }
 
 } // namespace

@@ -126,6 +126,20 @@ TEST(BackendRegistry, AutoFallsBackToTrajectoryForNoisyReuse)
     EXPECT_EQ(backend->name(), "trajectory");
 }
 
+TEST(BackendRegistry, AutoSkipsDensityPastItsQubitCeiling)
+{
+    // DensityMatrix stops at 12 qubits; the backend must not claim a
+    // 13-qubit job it can only fail.
+    const DeviceModel device = DeviceModel::ibmqx4();
+    Circuit wide(13, 13);
+    wide.h(0).measureAll();
+    EXPECT_FALSE(BackendRegistry::global().create("density")->supports(
+        wide, &device.noiseModel()));
+    const BackendPtr backend = BackendRegistry::global().resolveAuto(
+        wide, &device.noiseModel());
+    EXPECT_EQ(backend->name(), "trajectory");
+}
+
 TEST(BackendRegistry, AutoPicksStabilizerForLargeCliffordCircuits)
 {
     Circuit ghz = library::ghzState(24);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "noise/device_model.hh"
 #include "sim/density_simulator.hh"
 #include "sim/trajectory_simulator.hh"
@@ -142,6 +143,36 @@ TEST(DensitySimulatorTest, PostSelectTracksRetainedFraction)
     DensityMatrixSimulator sim(19);
     const auto dist = sim.exactDistribution(c);
     EXPECT_NEAR(dist.at(0), 1.0, 1e-10);
+}
+
+TEST(DensitySimulatorTest, SampledCountsMatchPerShotDraws)
+{
+    // run() tallies the draws per outcome; the counts must equal a
+    // per-shot record loop over the same RNG stream.
+    const NoiseModel noise = DeviceModel::ibmqx4().noiseModel();
+    Circuit c(5, 5);
+    c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4).measureAll();
+    for (const std::uint64_t seed : {1u, 7u, 4099u}) {
+        DensityMatrixSimulator sim(seed);
+        sim.setNoiseModel(&noise);
+        const Result got = sim.run(c, 8192);
+
+        DensityMatrixSimulator exact;
+        exact.setNoiseModel(&noise);
+        std::vector<std::uint64_t> keys;
+        std::vector<double> probs;
+        for (const auto &[reg, p] : exact.exactDistribution(c)) {
+            keys.push_back(reg);
+            probs.push_back(p);
+        }
+        ASSERT_EQ(keys.size(), 32u);
+        Rng rng(seed);
+        std::map<std::uint64_t, std::size_t> want;
+        for (int s = 0; s < 8192; ++s)
+            ++want[keys[sampleDiscrete(probs, rng)]];
+        EXPECT_EQ(got.rawCounts(), want) << "seed " << seed;
+        EXPECT_EQ(got.shots(), 8192u);
+    }
 }
 
 TEST(TrajectorySimulatorTest, IdealMatchesStatevector)

@@ -123,6 +123,14 @@ TEST(StateVectorTest, WrongMatrixSizeThrows)
     EXPECT_THROW(sv.applyMatrix(gates::h(), {0, 1}), SimulationError);
 }
 
+TEST(StateVectorTest, DuplicateOperandsThrow)
+{
+    StateVector sv(3);
+    EXPECT_THROW(sv.applyMatrix(gates::cx(), {1, 1}), SimulationError);
+    EXPECT_THROW(sv.applyMatrix(gates::ccx(), {0, 2, 0}), SimulationError);
+    EXPECT_NEAR(std::abs(sv.amplitude(0)), 1.0, 1e-15);
+}
+
 TEST(StateVectorTest, NormPreservedByRandomCircuit)
 {
     StateVector sv(4);
